@@ -10,14 +10,6 @@
 #include <utility>
 
 namespace fmeter::exec {
-namespace {
-
-/// Below this many documents a bulk build is microseconds of work and the
-/// pool dispatch (queue mutex, condvar wakeup, future sync per shard) would
-/// dominate it — build inline instead. Results are identical either way.
-constexpr std::size_t kMinDocsForParallelBuild = 4096;
-
-}  // namespace
 
 ShardedIndex::ShardedIndex(std::size_t num_shards)
     : shards_(num_shards == 0 ? 1 : num_shards) {}

@@ -54,6 +54,13 @@ using index::IndexHit;
 using index::MemoryBreakdown;
 using index::Metric;
 
+/// Below this many documents a bulk build is microseconds of work and the
+/// pool dispatch (queue mutex, condvar wakeup, future sync per shard) would
+/// dominate it — ShardedIndex builds and loads inline instead. Results are
+/// identical either way. The live archive uses the same rule to decide
+/// which batches are worth sealing across the base's shard count.
+inline constexpr std::size_t kMinDocsForParallelBuild = 4096;
+
 /// Per-shard statistics snapshot (for fmeter_inspect and monitoring).
 struct ShardStats {
   std::size_t docs = 0;

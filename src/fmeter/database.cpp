@@ -124,6 +124,14 @@ class InflightGuard {
   bool tracked_ = false;
 };
 
+/// Room for `extra` more elements, at least doubling the capacity when it
+/// has to grow so that a run of batches moves each element O(1) times.
+template <typename T>
+void reserve_for_append(std::vector<T>& values, std::size_t extra) {
+  if (values.capacity() - values.size() >= extra) return;
+  values.reserve(std::max(values.size() + extra, 2 * values.capacity()));
+}
+
 }  // namespace
 
 std::size_t SignatureDatabase::default_num_shards() noexcept {
@@ -237,8 +245,11 @@ std::size_t SignatureDatabase::add_batch(
   {
     const std::unique_lock<std::shared_mutex> store(store_mutex_);
     first = signatures_.size();
-    signatures_.reserve(signatures_.size() + signatures.size());
-    labels_.reserve(labels_.size() + labels.size());
+    // Reserve before any mutation (strong guarantee), growing
+    // geometrically: an exact reserve(size + batch) would reallocate and
+    // re-move the whole store on every batch.
+    reserve_for_append(signatures_, signatures.size());
+    reserve_for_append(labels_, labels.size());
     for (std::size_t i = 0; i < signatures.size(); ++i) {
       signatures_.push_back(std::move(signatures[i]));
       labels_.push_back(std::move(labels[i]));

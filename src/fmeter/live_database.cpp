@@ -5,6 +5,7 @@
 #include <exception>
 #include <utility>
 
+#include "exec/sharded_index.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -57,6 +58,23 @@ std::uint64_t elapsed_ns(const std::chrono::steady_clock::time_point& start) {
 bool hit_ranks_better(const SearchHit& a, const SearchHit& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.id < b.id;
+}
+
+/// Seals one batch into an immutable segment — the one rule shared by
+/// add_batch and journal replay, so a reopened archive has exactly the
+/// segment shapes the writer published. A batch of at least
+/// kMinDocsForParallelBuild docs is built across the base's shard count:
+/// on every core, and byte for byte the base a bulk build of those docs
+/// would produce, so a fold over an empty base can adopt it unchanged.
+/// Smaller batches take one shard, where fan-out costs more than it saves.
+std::shared_ptr<const SignatureDatabase> seal_segment(
+    std::vector<vsm::SparseVector> signatures, std::vector<std::string> labels,
+    std::size_t base_shards) {
+  const std::size_t shards =
+      signatures.size() >= exec::kMinDocsForParallelBuild ? base_shards : 1;
+  auto segment = std::make_shared<SignatureDatabase>(shards);
+  segment->add_batch(std::move(signatures), std::move(labels));
+  return segment;
 }
 
 }  // namespace
@@ -210,9 +228,10 @@ void LiveDatabase::open() {
     std::size_t next_id = base->size();
     std::vector<LiveSegment> segments;
     const std::string journal_path = dir_ + "/" + manifest.journal;
+    const std::size_t base_shards = base->num_shards();
     const auto replayed = io::journal::replay(
         env_, journal_path,
-        [this, &next_id, &segments](std::span<const std::byte> payload) {
+        [&next_id, &segments, base_shards](std::span<const std::byte> payload) {
           std::vector<vsm::SparseVector> signatures;
           std::vector<std::string> labels;
           decode_batch(payload, signatures, labels);
@@ -220,11 +239,10 @@ void LiveDatabase::open() {
           auto record = std::make_shared<std::vector<std::byte>>(
               payload.begin(), payload.end());
           const std::size_t batch = signatures.size();
-          auto segment_db = std::make_shared<SignatureDatabase>(1);
-          segment_db->add_batch(std::move(signatures), std::move(labels));
           LiveSegment segment;
           segment.first_id = next_id;
-          segment.db = std::move(segment_db);
+          segment.db = seal_segment(std::move(signatures), std::move(labels),
+                                    base_shards);
           segment.journal_payload = std::move(record);
           segments.push_back(std::move(segment));
           next_id += batch;
@@ -305,8 +323,8 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
         encode_batch(signatures, labels));
   }
   const std::size_t batch = signatures.size();
-  auto segment_db = std::make_shared<SignatureDatabase>(1);
-  segment_db->add_batch(std::move(signatures), std::move(labels));
+  auto segment_db =
+      seal_segment(std::move(signatures), std::move(labels), base_shards_);
 
   std::size_t first = 0;
   {
@@ -411,27 +429,37 @@ bool LiveDatabase::do_refreeze() {
   const auto start = std::chrono::steady_clock::now();
   const obs::StageSpan span(obs::Stage::kRefreeze);
 
-  // 1. Rebuild one fresh sharded base from the pinned capture — no locks
-  //    held, ingest keeps publishing segments meanwhile. The rebuild goes
-  //    through add_batch, so the new base is byte-for-byte the database a
-  //    bulk build of the same documents would produce.
-  std::vector<vsm::SparseVector> signatures;
-  std::vector<std::string> labels;
-  signatures.reserve(capture->total_docs);
-  labels.reserve(capture->total_docs);
+  // 1. The new base, from the pinned capture — no locks held, ingest
+  //    keeps publishing segments meanwhile. It is byte for byte the
+  //    database a bulk build of the same documents would produce:
+  //    * an empty base plus one segment sealed across base_shards_ shards
+  //      already is that bulk build (see seal_segment), so it is adopted
+  //      as the base unchanged — no copy, no rebuild;
+  //    * any other capture is copied out and rebuilt through add_batch.
   const SignatureDatabase& old_base = *capture->base;
-  for (std::size_t i = 0; i < old_base.size(); ++i) {
-    signatures.push_back(old_base.signature(i));
-    labels.push_back(old_base.label(i));
-  }
-  for (const LiveSegment& segment : capture->segments) {
-    for (std::size_t i = 0; i < segment.db->size(); ++i) {
-      signatures.push_back(segment.db->signature(i));
-      labels.push_back(segment.db->label(i));
+  std::shared_ptr<const SignatureDatabase> fresh;
+  if (old_base.empty() && capture->segments.size() == 1 &&
+      capture->segments.front().db->num_shards() == base_shards_) {
+    fresh = capture->segments.front().db;
+  } else {
+    std::vector<vsm::SparseVector> signatures;
+    std::vector<std::string> labels;
+    signatures.reserve(capture->total_docs);
+    labels.reserve(capture->total_docs);
+    for (std::size_t i = 0; i < old_base.size(); ++i) {
+      signatures.push_back(old_base.signature(i));
+      labels.push_back(old_base.label(i));
     }
+    for (const LiveSegment& segment : capture->segments) {
+      for (std::size_t i = 0; i < segment.db->size(); ++i) {
+        signatures.push_back(segment.db->signature(i));
+        labels.push_back(segment.db->label(i));
+      }
+    }
+    auto rebuilt = std::make_shared<SignatureDatabase>(base_shards_);
+    rebuilt->add_batch(std::move(signatures), std::move(labels));
+    fresh = std::move(rebuilt);
   }
-  auto fresh = std::make_shared<SignatureDatabase>(base_shards_);
-  fresh->add_batch(std::move(signatures), std::move(labels));
 
   // 2. Write the new base as the next epoch's snapshot — still no locks;
   //    the file is atomic-committed and unreferenced until the manifest
@@ -557,6 +585,7 @@ LiveStats LiveDatabase::stats() const {
   out.memory_bytes = epoch->base->index().memory_bytes();
   for (const LiveSegment& segment : epoch->segments) {
     out.memory_bytes += segment.db->index().memory_bytes();
+    out.segment_shards.push_back(segment.db->num_shards());
   }
   return out;
 }

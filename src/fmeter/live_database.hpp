@@ -14,17 +14,24 @@
 //     Nothing a reader can see is ever mutated; a pinned snapshot stays
 //     valid for as long as the caller holds it, across any number of
 //     ingests and re-freezes.
-//   * Writers seal each add_batch() into its own immutable single-shard
-//     segment (built and frozen *outside* the writer lock), journal it,
-//     and publish a new epoch that shares the base and all prior segments
-//     — publish cost is O(segments), independent of archive size.
+//   * Writers seal each add_batch() into its own immutable segment (built
+//     and frozen *outside* the writer lock), journal it, and publish a new
+//     epoch that shares the base and all prior segments — publish cost is
+//     O(segments), independent of archive size. A batch of at least
+//     exec::kMinDocsForParallelBuild docs is sealed across the base's
+//     shard count (a parallel bulk build); a smaller one into one shard.
+//     Journal replay applies the same rule, so a reopened archive has the
+//     segment shapes the writer published.
 //   * A background TaskPool job *re-freezes* the archive when the tail
 //     grows past a fraction of the base: it rebuilds one fresh sharded
 //     base from a pinned epoch (concurrent ingest keeps landing in new
-//     segments meanwhile), writes it as a snapshot, and commits the swap
-//     through the same MANIFEST machinery as DurableDatabase — snapshot
-//     file + fresh journal carrying any segments sealed after the capture,
-//     then the atomic manifest swap as the one commit point. A crash at
+//     segments meanwhile) — or, when the pinned epoch is an empty base
+//     plus one segment sealed across the base's shard count, adopts that
+//     segment as the base, since it already is that bulk build byte for
+//     byte — writes it as a snapshot, and commits the swap through the
+//     same MANIFEST machinery as DurableDatabase — snapshot file + fresh
+//     journal carrying any segments sealed after the capture, then the
+//     atomic manifest swap as the one commit point. A crash at
 //     any instant recovers to either the old epoch's files or the new
 //     ones, never a torn mix (enforced by the crash-matrix test).
 //
@@ -109,6 +116,7 @@ struct LiveStats {
   std::size_t segments = 0;
   std::size_t memory_bytes = 0;          ///< base + segment index footprint
   std::vector<exec::ShardStats> base_shards;
+  std::vector<std::size_t> segment_shards;  ///< shard count, oldest first
 };
 
 class LiveDatabase {
@@ -173,7 +181,9 @@ class LiveDatabase {
   LiveDatabase& operator=(const LiveDatabase&) = delete;
 
   /// Streaming ingest: validate → seal the batch into a frozen segment
-  /// (outside the writer lock — concurrent ingests build concurrently) →
+  /// (outside the writer lock — concurrent ingests build concurrently; a
+  /// batch of at least exec::kMinDocsForParallelBuild docs is built across
+  /// the base's shard count, a smaller one into one shard) →
   /// journal append (+ per-epoch sync) → publish the new epoch. Returns
   /// the id of the first inserted signature. Thread-safe against
   /// concurrent add_batch/sync/refreeze/readers. May schedule a background
@@ -202,9 +212,11 @@ class LiveDatabase {
       const SearchOptions& options = {}) const;
 
   /// Synchronous re-freeze: folds the pinned epoch's segments into a fresh
-  /// sharded base and commits the swap durably. Returns true when a fold
-  /// committed, false when there was nothing to fold or another re-freeze
-  /// was already in flight (the call then waits for it). Throws on I/O
+  /// sharded base (adopting the only segment as the base when the base is
+  /// empty and the segment already has the base's shard count) and commits
+  /// the swap durably. Returns true when a fold committed, false when there
+  /// was nothing to fold or another re-freeze was already in flight (the
+  /// call then waits for it). Throws on I/O
   /// failure — the published epoch is unchanged and the directory recovers
   /// to old-or-new on reopen.
   bool refreeze_now();
@@ -227,10 +239,11 @@ class LiveDatabase {
   }
 
  private:
-  /// One sealed, immutable tail segment: the batch as a tiny frozen
-  /// single-shard database plus its encoded journal record, kept so a
-  /// re-freeze can re-journal segments sealed after its capture without
-  /// re-encoding (byte-identical records by construction).
+  /// One sealed, immutable tail segment: the batch as a frozen database
+  /// (single-shard, or base-shaped for large batches) plus its encoded
+  /// journal record, kept so a re-freeze can re-journal segments sealed
+  /// after its capture without re-encoding (byte-identical records by
+  /// construction).
   struct LiveSegment {
     std::size_t first_id = 0;
     std::shared_ptr<const SignatureDatabase> db;

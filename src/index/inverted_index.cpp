@@ -84,6 +84,15 @@ void heap_offer(BoundedHeap& heap, std::size_t capacity, IndexHit hit) {
   }
 }
 
+/// Makes the next push_back on `values` no-throw. Grows geometrically: an
+/// exact reserve(size() + 1) reallocates — and copies the whole array — on
+/// every call, which turns n single-document adds into O(n²) copying.
+template <typename T>
+void reserve_one_more(std::vector<T>& values) {
+  if (values.size() < values.capacity()) return;
+  values.reserve(std::max<std::size_t>(16, 2 * values.capacity()));
+}
+
 }  // namespace
 
 InvertedIndex::DocId InvertedIndex::add(const vsm::SparseVector& doc) {
@@ -107,9 +116,13 @@ InvertedIndex::DocId InvertedIndex::add(const vsm::SparseVector& doc) {
   // pushes into the per-doc arrays are made no-throw by reserving first;
   // the posting/forward appends roll back on failure; the irreversible
   // max/min-weight updates happen only after nothing can throw anymore.
-  norms_.reserve(norms_.size() + 1);
-  norms_sq_.reserve(norms_sq_.size() + 1);
-  forward_offsets_.reserve(forward_offsets_.size() + 1);
+  reserve_one_more(norms_);
+  reserve_one_more(norms_sq_);
+  reserve_one_more(forward_offsets_);
+  if (!public_of_.empty()) {
+    reserve_one_more(norms_int_);
+    reserve_one_more(norms_sq_int_);
+  }
   if (!indices.empty()) {
     const std::size_t terms = static_cast<std::size_t>(indices.back()) + 1;
     // Bounds arrays grow before the tail lists: if a resize throws partway,

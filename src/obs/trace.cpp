@@ -46,6 +46,8 @@ const char* stage_help(Stage stage) noexcept {
       return "Time writing and finishing one snapshot";
     case Stage::kSnapshotLoad:
       return "Time opening and validating one snapshot";
+    case Stage::kRefreeze:
+      return "Time folding the live archive's tail into a fresh base";
     case Stage::kStageCount_:
       break;
   }

@@ -435,44 +435,50 @@ std::size_t live_recovered_prefix(const LiveDatabase::Snapshot& got,
 }
 
 /// The live lifecycle whose every fault point the matrix kills: open
-/// fresh, two committed batches, a re-freeze whose capture is raced by a
-/// batch sealed mid-fold (the survivor re-journal path), one more batch,
-/// and a second re-freeze. `committed` is updated as each add_batch
-/// returns — under kNone + sync_each_epoch that return IS the commit
-/// point — so the caller knows the durability floor even when a fault
-/// unwinds the lifecycle.
+/// fresh, `before_fold` committed batches, a re-freeze whose capture is
+/// raced by a batch sealed mid-fold (the survivor re-journal path), one
+/// more batch, and a second re-freeze. With one committed batch and one
+/// shard the first fold adopts its only segment as the base instead of
+/// rebuilding. `committed` is updated as each add_batch returns — under
+/// kNone + sync_each_epoch that return IS the commit point — so the caller
+/// knows the durability floor even when a fault unwinds the lifecycle.
 void run_live_lifecycle(io::Env& env, const std::vector<Batch>& batches,
+                        std::size_t shards, std::size_t before_fold,
                         std::size_t& committed) {
   LiveOptions options;
-  options.num_shards = 2;
+  options.num_shards = shards;
   options.background_refreeze = false;
   LiveDatabase* handle = nullptr;
   bool sealed_mid_fold = false;
   options.after_refreeze_capture = [&] {
     if (sealed_mid_fold) return;
     sealed_mid_fold = true;
-    handle->add_batch(batches[2].signatures, batches[2].labels);
+    handle->add_batch(batches[before_fold].signatures,
+                      batches[before_fold].labels);
     ++committed;
   };
   LiveDatabase db(env, "live", options);
   handle = &db;
-  for (std::size_t b = 0; b < 2; ++b) {
+  for (std::size_t b = 0; b < before_fold; ++b) {
     db.add_batch(batches[b].signatures, batches[b].labels);
     ++committed;
   }
-  db.refreeze_now();  // folds 0+1, re-journals the mid-fold batch 2
-  db.add_batch(batches[3].signatures, batches[3].labels);
+  db.refreeze_now();  // folds the first batches, re-journals the mid-fold one
+  db.add_batch(batches[before_fold + 1].signatures,
+               batches[before_fold + 1].labels);
   ++committed;
-  db.refreeze_now();  // folds 2+3
+  db.refreeze_now();  // folds the last two
 }
 
-TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
-  const auto batches = make_batches(4, 3);
+/// Kills the lifecycle above at every fault point under both crash models
+/// and checks that each reopen lands on the old or the new epoch.
+void run_live_crash_matrix(std::size_t shards, std::size_t before_fold) {
+  const auto batches = make_batches(before_fold + 2, 3);
 
   FaultInjectingEnv counter;
   std::size_t clean_committed = 0;
-  run_live_lifecycle(counter, batches, clean_committed);
-  ASSERT_EQ(clean_committed, 4u);
+  run_live_lifecycle(counter, batches, shards, before_fold, clean_committed);
+  ASSERT_EQ(clean_committed, batches.size());
   const std::uint64_t total_ops = counter.ops_seen();
   ASSERT_GT(total_ops, 20u) << "lifecycle too small to be a real matrix";
 
@@ -490,13 +496,14 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
       env.fail_at_op(n);
       std::size_t committed = 0;
       try {
-        run_live_lifecycle(env, batches, committed);
+        run_live_lifecycle(env, batches, shards, before_fold, committed);
         // A fault in the post-commit retirement section (deleting the old
         // epoch's files) is deliberately tolerated: the swap has already
         // committed, so ingest must not fail over a leftover file the
         // next open sweeps anyway. Every other fault point must throw.
         ++tolerated_runs;
-        EXPECT_EQ(committed, 4u) << context << ": swallowed pre-commit fault";
+        EXPECT_EQ(committed, batches.size())
+            << context << ": swallowed pre-commit fault";
       } catch (const IoError&) {
         ++faulted_runs;
       } catch (const index::snapshot::SnapshotError&) {
@@ -510,7 +517,7 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
       // ALWAYS openable: recovery lands on whatever epoch the manifest
       // names — the old one or the new one, never a torn mix.
       LiveOptions reopen_options;
-      reopen_options.num_shards = 2;
+      reopen_options.num_shards = shards;
       reopen_options.background_refreeze = false;
       LiveDatabase recovered(env, "live", reopen_options);
       EXPECT_LE(recovered.recovery().epoch, 2u) << context;
@@ -521,7 +528,8 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
           live_recovered_prefix(recovered.snapshot(), batches, context);
       EXPECT_GE(prefix, committed) << context << ": committed batch lost";
       expect_live_equivalent(recovered.snapshot(),
-                             build_reference(batches, prefix, 2), context);
+                             build_reference(batches, prefix, shards),
+                             context);
 
       // And the recovered archive still ingests + re-freezes.
       recovered.add_batch(batches[0].signatures, batches[0].labels);
@@ -532,6 +540,25 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
   EXPECT_EQ(faulted_runs + tolerated_runs, 2 * total_ops);
   EXPECT_GT(faulted_runs, tolerated_runs)
       << "most fault points must be pre-commit";
+}
+
+TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
+  run_live_crash_matrix(/*shards=*/2, /*before_fold=*/2);
+}
+
+// The first fold adopts its only segment as the base; the snapshot write,
+// journal rotation and manifest swap around it must recover the same way.
+TEST(LiveDatabase, EpochSwapCrashMatrixWithAdoptingFold) {
+  InMemoryEnv env;
+  const auto batches = make_batches(2, 3);
+  LiveDatabase db(env, "live", {.num_shards = 1, .background_refreeze = false});
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  const auto before = db.snapshot();
+  ASSERT_TRUE(db.refreeze_now());
+  ASSERT_EQ(&db.snapshot().signature(0), &before.signature(0))
+      << "this lifecycle's first fold no longer adopts";
+
+  run_live_crash_matrix(/*shards=*/1, /*before_fold=*/1);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@
 //   * a re-freeze folds the tail into the base, bumps the manifest epoch,
 //     and keeps segments sealed after its capture (the survivor path);
 //   * reopening a directory replays snapshot + journal back to the same
-//     archive.
+//     archive;
+//   * a batch of at least exec::kMinDocsForParallelBuild docs seals across
+//     the base's shard count (smaller ones into one shard), journal replay
+//     re-seals it in the same shape, and a fold over an empty base adopts
+//     such a segment as the base, writing the bulk build's exact bytes.
 //
 // The concurrency tests at the bottom run under the TSan CI job and are
 // the regression tests for the stats-scrape-vs-ingest race and the
@@ -23,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/sharded_index.hpp"
 #include "exec/task_pool.hpp"
 #include "fmeter/database.hpp"
 #include "fmeter/live_database.hpp"
@@ -105,7 +110,7 @@ void expect_live_equivalent(const LiveDatabase::Snapshot& got,
               << context << " q " << q << " rank " << r;
           EXPECT_EQ(got_hits[r].label, want_hits[r].label)
               << context << " q " << q << " rank " << r;
-          EXPECT_NEAR(got_hits[r].score, want_hits[r].score, 1e-9)
+          EXPECT_EQ(got_hits[r].score, want_hits[r].score)
               << context << " q " << q << " rank " << r;
         }
       }
@@ -342,6 +347,84 @@ TEST(LiveDatabase, SearchEdgeCases) {
                  hits[r - 1].id < hits[r].id))
         << "rank " << r;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seal rule and fold adoption
+// ---------------------------------------------------------------------------
+
+TEST(LiveDatabase, LargeBatchSealsAcrossBaseShards) {
+  InMemoryEnv env;
+  constexpr std::size_t kShards = 3;
+  const auto batches = make_batches(1, exec::kMinDocsForParallelBuild);
+  const SignatureDatabase reference = build_reference(batches, 1, kShards);
+  {
+    LiveDatabase db(env, "live", foreground_options(kShards));
+    db.add_batch(batches[0].signatures, batches[0].labels);
+    const auto stats = db.stats();
+    EXPECT_EQ(stats.segment_shards, std::vector<std::size_t>{kShards});
+    expect_live_equivalent(db.snapshot(), reference, "base-shaped segment");
+  }
+
+  // Replay re-seals the journal record with the same rule.
+  LiveDatabase reopened(env, "live", foreground_options(kShards));
+  EXPECT_EQ(reopened.recovery().journal_records_replayed, 1u);
+  EXPECT_EQ(reopened.stats().segment_shards,
+            std::vector<std::size_t>{kShards});
+  expect_live_equivalent(reopened.snapshot(), reference, "replayed segment");
+}
+
+TEST(LiveDatabase, BatchBelowThresholdSealsSingleShard) {
+  InMemoryEnv env;
+  const auto batches = make_batches(1, exec::kMinDocsForParallelBuild - 1);
+  LiveDatabase db(env, "live", foreground_options(3));
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  EXPECT_EQ(db.stats().segment_shards, std::vector<std::size_t>{1});
+  expect_live_equivalent(db.snapshot(), build_reference(batches, 1, 3),
+                         "single-shard segment");
+
+  // Not base-shaped, so the fold rebuilds it at the base's shard count.
+  const auto before = db.snapshot();
+  ASSERT_TRUE(db.refreeze_now());
+  EXPECT_EQ(db.stats().base_shards.size(), 3u);
+  EXPECT_NE(&db.snapshot().signature(0), &before.signature(0));
+}
+
+TEST(LiveDatabase, FoldAdoptsBaseShapedSegment) {
+  InMemoryEnv env;
+  constexpr std::size_t kShards = 2;
+  const auto batches = make_batches(2, exec::kMinDocsForParallelBuild);
+  LiveDatabase db(env, "live", foreground_options(kShards));
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  const auto before = db.snapshot();
+
+  ASSERT_TRUE(db.refreeze_now());
+  const auto after = db.snapshot();
+  EXPECT_EQ(after.base_docs(), exec::kMinDocsForParallelBuild);
+  EXPECT_EQ(after.num_segments(), 0u);
+  // Adopted, not rebuilt: the new base is the sealed segment itself.
+  EXPECT_EQ(&after.signature(0), &before.signature(0));
+
+  // The snapshot it wrote is byte for byte the bulk build's.
+  SignatureDatabase reference = build_reference(batches, 1, kShards);
+  env.create_dir("reference");
+  reference.save(env, "reference/bulk.fms");
+  EXPECT_EQ(env.read_file("live/" + snapshot_name(1)),
+            env.read_file("reference/bulk.fms"));
+  expect_live_equivalent(after, reference, "adopted base");
+
+  // A fold over a non-empty base rebuilds and still matches.
+  db.add_batch(batches[1].signatures, batches[1].labels);
+  ASSERT_TRUE(db.refreeze_now());
+  const auto rebuilt = db.snapshot();
+  EXPECT_NE(&rebuilt.signature(0), &after.signature(0));
+  expect_live_equivalent(rebuilt, build_reference(batches, 2, kShards),
+                         "rebuilt base");
+
+  LiveDatabase reopened(env, "live", foreground_options(kShards));
+  expect_live_equivalent(reopened.snapshot(),
+                         build_reference(batches, 2, kShards),
+                         "reopened after adoption");
 }
 
 // ---------------------------------------------------------------------------
