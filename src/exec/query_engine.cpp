@@ -30,19 +30,6 @@ constexpr double kDispatchOverheadDocs = 8192.0;
 /// misses of a participant switching to a new (shard, query-block) cell.
 constexpr double kSpanOverheadDocs = 64.0;
 
-/// Estimated scoring work for one (query, shard) cell. The exact pass
-/// touches every document in the shard. The pruned pass bounds its probes
-/// by the threshold: its cost scales with k (bootstrap + candidate
-/// verification) plus a small fraction of the shard it still streams
-/// through. kAuto is modelled as pruned — it resolves to kMaxScore
-/// exactly on the large shards where this decision matters.
-double estimated_cell_docs(double docs_per_shard, std::size_t k,
-                           PruningMode mode) {
-  if (mode == PruningMode::kExact) return docs_per_shard;
-  return std::min(docs_per_shard, 32.0 * static_cast<double>(k) +
-                                      docs_per_shard / 8.0);
-}
-
 /// Resolves the effective scoring path for one shard. kAuto picks per
 /// shard from the measured size crossover, and the engine treats kMaxScore
 /// the same way: below the crossover the bound bookkeeping is a guaranteed
@@ -60,6 +47,20 @@ PruningMode resolve_mode(const ShardedIndex& index, std::size_t shard,
   const auto& target = index.shard(shard);
   return index::InvertedIndex::resolve_auto(
       target.size(), k, target.frozen_docs() * 2 >= target.size());
+}
+
+/// Estimated scoring work for one (query, shard) cell, priced by the
+/// kernel resolve_mode() will run on that shard, at that shard's own size.
+/// The exact pass touches every document in the shard. The pruned pass
+/// bounds its probes by the threshold: its cost scales with k (bootstrap +
+/// candidate verification) plus a small fraction of the shard it still
+/// streams through. So a kAuto or kMaxScore cell on a shard below the
+/// crossover costs exactly what a kExact cell does.
+double estimated_cell_docs(const ShardedIndex& index, std::size_t shard,
+                           std::size_t k, PruningMode mode) {
+  const auto docs = static_cast<double>(index.shard(shard).size());
+  if (resolve_mode(index, shard, k, mode) == PruningMode::kExact) return docs;
+  return std::min(docs, 32.0 * static_cast<double>(k) + docs / 8.0);
 }
 
 /// Scores one query against one shard, mapping hits to global doc ids.
@@ -314,18 +315,15 @@ double QueryEngine::estimated_query_cost(const ShardedIndex& index,
   // Posting lists are walked below; pin the reader side of the ingest lock
   // so a concurrent add_batch cannot resize them mid-estimate.
   const auto ingest_guard = index.read_lock();
-  const double docs_per_shard =
-      static_cast<double>(index.size()) / static_cast<double>(shards);
-  // The grid term the dispatch decision already uses, plus this query's own
-  // posting footprint — the part a shape-blind estimate misses, and exactly
-  // what makes an adversarially dense query expensive.
-  double postings = 0.0;
+  // The per-cell scoring estimate the dispatch decision already uses, plus
+  // this query's own posting footprint — the part a shape-blind estimate
+  // misses, and exactly what makes an adversarially dense query expensive.
+  double cost = 0.0;
   for (std::size_t s = 0; s < shards; ++s) {
-    postings += static_cast<double>(index.shard(s).num_postings_for(query));
+    cost += estimated_cell_docs(index, s, k, mode) +
+            static_cast<double>(index.shard(s).num_postings_for(query));
   }
-  return estimated_cell_docs(docs_per_shard, k, mode) *
-             static_cast<double>(shards) +
-         postings;
+  return cost;
 }
 
 std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
@@ -540,10 +538,11 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   // first so inline-only workloads never materialize the shared pool (a
   // pooled win needs total_work > overhead / (1 - 1/participants), i.e.
   // at least twice the dispatch overhead).
-  const double docs_per_shard =
-      static_cast<double>(index_->size()) / static_cast<double>(shards);
-  const double total_work =
-      estimated_cell_docs(docs_per_shard, k, mode) * static_cast<double>(cells);
+  double query_work = 0.0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    query_work += estimated_cell_docs(*index_, s, k, mode);
+  }
+  const double total_work = query_work * static_cast<double>(n_eligible);
   if (total_work <= 2.0 * kDispatchOverheadDocs) return run_inline();
   TaskPool& pool = this->pool();
   if (pool.size() <= 1 || pool.current_thread_is_worker()) {

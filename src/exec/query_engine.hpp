@@ -13,14 +13,17 @@
 // brute-force scan: same ids, same scores, same ascending-id tie-break.
 //
 // Whether a batch fans out at all is a cost-model decision, not a flat
-// document cutoff: the model weighs total scoring work (documents per
-// shard × grid cells, discounted when the mode prunes) against the fixed
+// document cutoff: the model weighs total scoring work against the fixed
 // cost of waking workers plus per-span reservation overhead, and fans out
-// only when the projected parallel time wins. Small work inlines on the
-// caller — where the grid runs shard-major (every query against shard 0,
-// then shard 1, …) so a shard's term metadata stays hot across the whole
-// batch, and the next cell's posting spans are prefetched
-// (InvertedIndex::warm) while the current cell computes. The chosen branch
+// only when the projected parallel time wins. Each (query, shard) cell is
+// priced by the kernel resolve_mode picks for that shard, at the shard's
+// own size — every document when it runs exact, a k-bounded fraction when
+// it prunes — so kAuto on shards below the crossover is priced as exact.
+// Small work inlines on the caller — where the grid runs shard-major
+// (every query against shard 0, then shard 1, …) so a shard's term
+// metadata stays hot across the whole batch, and the next cell's posting
+// spans are prefetched (InvertedIndex::warm) while the current cell
+// computes. The chosen branch
 // is visible per batch in QueryStats and cumulatively via
 // inline_batches()/pooled_batches().
 //
@@ -178,8 +181,9 @@ class QueryEngine {
       const RunOptions& options = {}) const;
 
   /// Estimated execution cost of one query, in the dispatch cost model's
-  /// scored-document units: the per-cell scoring estimate times the shard
-  /// count plus the posting entries this particular query's terms touch
+  /// scored-document units: the sum over shards of each cell's scoring
+  /// estimate (priced by the kernel that shard will run, at its own size)
+  /// plus the posting entries this particular query's terms touch
   /// (the term that makes an adversarially dense query expensive). This is
   /// the same model the inline-vs-pooled decision uses, exposed so
   /// SignatureDatabase's admission control can cap per-query cost with the

@@ -547,5 +547,76 @@ TEST(LiveDatabase, ConcurrentIngestQueryRefreezeScrape) {
                          "post-concurrency reopen");
 }
 
+// Single searches over a base this size fan out across the shared pool, so
+// pooled spans from two pinned-snapshot searchers share workers with a
+// background fold while ingest continues. Every answer must still equal a
+// bulk build of the pinned documents.
+TEST(LiveDatabase, PooledSearchesOnPinnedSnapshotDuringFoldAndIngest) {
+  InMemoryEnv env;
+  auto batches = make_batches(12, 16, 0x9001);
+  batches.front() = make_batches(1, 20000, 0x9002).front();
+  LiveOptions options;
+  options.num_shards = 4;
+  options.refreeze_min_docs = 64;
+  options.refreeze_fraction = 0.0;
+  LiveDatabase db(env, "live", options);  // folds on TaskPool::shared()
+
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  db.wait_for_refreeze();
+  ASSERT_EQ(db.stats().base_docs, 20000u);
+  db.add_batch(batches[1].signatures, batches[1].labels);
+  const auto pinned = db.snapshot();
+  ASSERT_EQ(pinned.num_segments(), 1u);
+
+  const auto reference = build_reference(batches, 2, 4);
+  util::Rng rng(0x5ea7);
+  std::vector<vsm::SparseVector> queries;
+  for (int q = 0; q < 6; ++q) queries.push_back(random_sparse(rng, 64, 10));
+  const std::size_t k = 10;
+  std::vector<std::vector<SearchHit>> expected;
+  for (const auto& query : queries) {
+    expected.push_back(reference.search(query, k));
+  }
+
+  const auto search_all = [&](QueryStats& stats, const std::string& who) {
+    for (int round = 0; round < 3; ++round) {
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const auto hits = pinned.search(queries[q], k,
+                                        SimilarityMetric::kCosine,
+                                        PruningMode::kAuto, &stats);
+        ASSERT_EQ(hits.size(), expected[q].size()) << who << " q " << q;
+        for (std::size_t r = 0; r < hits.size(); ++r) {
+          EXPECT_EQ(hits[r].id, expected[q][r].id) << who << " q " << q;
+          EXPECT_EQ(hits[r].label, expected[q][r].label) << who << " q " << q;
+          EXPECT_EQ(hits[r].score, expected[q][r].score) << who << " q " << q;
+        }
+      }
+    }
+  };
+
+  QueryStats stats_a;
+  QueryStats stats_b;
+  std::thread searcher_a([&] { search_all(stats_a, "searcher a"); });
+  std::thread searcher_b([&] { search_all(stats_b, "searcher b"); });
+  std::thread ingester([&] {
+    for (std::size_t b = 2; b < batches.size(); ++b) {
+      db.add_batch(batches[b].signatures, batches[b].labels);
+    }
+  });
+  searcher_a.join();
+  searcher_b.join();
+  ingester.join();
+  db.wait_for_refreeze();
+
+  EXPECT_GE(db.refreezes(), 2u);
+  EXPECT_EQ(db.size(), 20000u + 11u * 16u);
+  // A one-worker pool has no parallelism to offer; everywhere else the
+  // base probe must have fanned out.
+  if (exec::TaskPool::shared().size() >= 2) {
+    EXPECT_GT(stats_a.dispatch_pooled, 0u);
+    EXPECT_GT(stats_b.dispatch_pooled, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace fmeter::core

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -430,6 +431,64 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
       EXPECT_EQ(hits[r].score, reference[i % 24][r].score) << "nested " << i;
     }
   }
+}
+
+TEST(QueryEngine, SingleSearchOverShardsBelowCrossoverFansOut) {
+  // kAuto and kMaxScore run the exact kernel on frozen shards below the
+  // crossover, so a single search over four ~8k-doc shards scores every
+  // document — enough work to fan out, and the dispatch decision must
+  // price it that way rather than as a pruned probe.
+  util::Rng rng(0xfa40);
+  std::vector<vsm::SparseVector> docs;
+  for (int i = 0; i < 32000; ++i) docs.push_back(random_sparse(rng, 256, 12));
+  exec::TaskPool pool(4);
+  exec::ShardedIndex sharded(4);
+  sharded.add_batch(docs, &pool);
+  exec::ShardedIndex single(1);
+  single.add_batch(docs, &pool);
+  ASSERT_TRUE(sharded.frozen());
+  const exec::QueryEngine engine(sharded, &pool);
+  const exec::QueryEngine reference(single, &pool);
+
+  auto query = random_sparse(rng, 256, 12);
+  if (query.empty()) query = vsm::SparseVector::from_entries({{7, 1.0}});
+  const std::size_t k = 10;
+  const auto golden = reference.run(query, k);
+  ASSERT_EQ(golden.size(), k);
+
+  for (const auto mode :
+       {exec::PruningMode::kAuto, exec::PruningMode::kMaxScore}) {
+    const std::string context =
+        mode == exec::PruningMode::kAuto ? "kAuto" : "kMaxScore";
+    const auto batches_before = pool.span_batches();
+    exec::QueryStats stats;
+    const auto hits =
+        engine.run(query, k, exec::Metric::kCosine, mode, &stats);
+    EXPECT_EQ(stats.dispatch_pooled, 1u) << context;
+    EXPECT_EQ(stats.dispatch_inline, 0u) << context;
+    EXPECT_GT(pool.span_batches(), batches_before) << context;
+    ASSERT_EQ(hits.size(), golden.size()) << context;
+    for (std::size_t r = 0; r < golden.size(); ++r) {
+      EXPECT_EQ(hits[r].doc, golden[r].doc) << context << " rank " << r;
+      EXPECT_EQ(hits[r].score, golden[r].score) << context << " rank " << r;
+    }
+  }
+
+  // One shard leaves nothing to split; a small index stays under the gate.
+  exec::QueryStats single_stats;
+  (void)reference.run(query, k, exec::Metric::kCosine,
+                      exec::PruningMode::kAuto, &single_stats);
+  EXPECT_EQ(single_stats.dispatch_inline, 1u);
+  EXPECT_EQ(single_stats.dispatch_pooled, 0u);
+
+  exec::ShardedIndex small(4);
+  small.add_batch(std::span<const vsm::SparseVector>(docs).first(8000), &pool);
+  const exec::QueryEngine small_engine(small, &pool);
+  exec::QueryStats small_stats;
+  (void)small_engine.run(query, k, exec::Metric::kCosine,
+                         exec::PruningMode::kAuto, &small_stats);
+  EXPECT_EQ(small_stats.dispatch_inline, 1u);
+  EXPECT_EQ(small_stats.dispatch_pooled, 0u);
 }
 
 TEST(QueryEngine, SteadyStateDispatchAllocationsStabilize) {

@@ -20,6 +20,7 @@
 // one caller cancels mid-batch must leave the others bit-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -397,6 +398,59 @@ TEST(QueryRobustness, CostCapRejectsExpensiveQueriesIndividually) {
 
   db.set_admission({});
   expect_reusable(db, queries, k, golden, "after cost cap off");
+}
+
+// Frozen shards below the kAuto crossover run the exact kernel, so the cost
+// cap must charge kAuto/kMaxScore queries there exactly what it charges
+// kExact — not the pruned discount those shards never get.
+TEST(QueryRobustness, CostCapPricesAutoByTheKernelEachShardRuns) {
+  auto db = build_db(4, 20000, 256, 8, 0xa070);
+  const std::size_t k = 10;
+  for (std::size_t s = 0; s < db.index().num_shards(); ++s) {
+    ASSERT_TRUE(db.index().shard(s).frozen());
+    ASSERT_EQ(index::InvertedIndex::resolve_auto(db.index().shard(s).size(),
+                                                 k, /*frozen=*/true),
+              PruningMode::kExact);
+  }
+
+  util::Rng rng(0x5151);
+  const auto query = random_sparse(rng, 256, 6);
+  const double exact_cost = exec::QueryEngine::estimated_query_cost(
+      db.index(), query, k, PruningMode::kExact);
+  const double auto_cost = exec::QueryEngine::estimated_query_cost(
+      db.index(), query, k, PruningMode::kAuto);
+  EXPECT_EQ(auto_cost, exact_cost);
+  EXPECT_EQ(exec::QueryEngine::estimated_query_cost(db.index(), query, k,
+                                                    PruningMode::kMaxScore),
+            exact_cost);
+
+  // A cap above what pricing every cell as pruned would charge (32·k plus
+  // an eighth of each shard) but below the real exact work must refuse the
+  // kAuto query.
+  double postings = 0.0;
+  double pruned_docs = 0.0;
+  for (std::size_t s = 0; s < db.index().num_shards(); ++s) {
+    const auto docs = static_cast<double>(db.index().shard(s).size());
+    postings +=
+        static_cast<double>(db.index().shard(s).num_postings_for(query));
+    pruned_docs += std::min(docs, 32.0 * static_cast<double>(k) + docs / 8.0);
+  }
+  const double pruned_estimate = pruned_docs + postings;
+  ASSERT_LT(pruned_estimate, exact_cost);
+  db.set_admission({.max_inflight_queries = 0,
+                    .max_query_cost_docs = (pruned_estimate + exact_cost) / 2});
+
+  const std::vector<vsm::SparseVector> queries = {query};
+  std::vector<QueryOutcome> outcomes;
+  QueryStats stats;
+  SearchOptions options;
+  options.outcomes = &outcomes;
+  const auto hits = db.search_batch(queries, k, SimilarityMetric::kCosine,
+                                    ScanPolicy::kIndexed, PruningMode::kAuto,
+                                    &stats, options);
+  EXPECT_EQ(outcomes[0], QueryOutcome::kRejected);
+  EXPECT_TRUE(hits[0].empty());
+  EXPECT_EQ(stats.rejected, 1u);
 }
 
 // TSan target: concurrent run_batch callers over one shared database, one
