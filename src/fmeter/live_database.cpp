@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <utility>
 
 #include "exec/sharded_index.hpp"
@@ -17,8 +18,10 @@ struct LiveMetrics {
   obs::Counter* docs;
   obs::Counter* refreezes;
   obs::Counter* refreeze_failures;
+  obs::Counter* segment_merges;
   obs::Histogram* publish_ns;
   obs::Histogram* refreeze_ns;
+  obs::Histogram* segment_merge_ns;
 };
 
 const LiveMetrics& live_metrics() {
@@ -33,12 +36,18 @@ const LiveMetrics& live_metrics() {
                                "Tail folds committed (epoch swaps)");
     out.refreeze_failures =
         &r.counter("fmeter_live_refreeze_failures_total",
-                   "Background re-freezes that died on an I/O error");
+                   "Background re-freezes or merges that died on an error");
     out.publish_ns = &r.histogram(
         "fmeter_live_publish_ns",
         "Wall time of the locked section of add_batch (journal + publish)");
     out.refreeze_ns = &r.histogram("fmeter_live_refreeze_ns",
                                    "Wall time of one committed re-freeze");
+    out.segment_merges =
+        &r.counter("fmeter_live_segment_merges_total",
+                   "Runs of tail segments merged into one segment");
+    out.segment_merge_ns = &r.histogram(
+        "fmeter_live_segment_merge_ns",
+        "Wall time of one tail segment merge (copy, seal and swap)");
     return out;
   }();
   return m;
@@ -60,13 +69,13 @@ bool hit_ranks_better(const SearchHit& a, const SearchHit& b) {
   return a.id < b.id;
 }
 
-/// Seals one batch into an immutable segment — the one rule shared by
-/// add_batch and journal replay, so a reopened archive has exactly the
-/// segment shapes the writer published. A batch of at least
+/// Seals documents into an immutable segment — the one rule shared by
+/// add_batch, merges and journal replay, so a reopened archive has exactly
+/// the segment shapes the writer settled on. A segment of at least
 /// kMinDocsForParallelBuild docs is built across the base's shard count:
 /// on every core, and byte for byte the base a bulk build of those docs
 /// would produce, so a fold over an empty base can adopt it unchanged.
-/// Smaller batches take one shard, where fan-out costs more than it saves.
+/// Smaller segments take one shard, where fan-out costs more than it saves.
 std::shared_ptr<const SignatureDatabase> seal_segment(
     std::vector<vsm::SparseVector> signatures, std::vector<std::string> labels,
     std::size_t base_shards) {
@@ -77,7 +86,51 @@ std::shared_ptr<const SignatureDatabase> seal_segment(
   return segment;
 }
 
+/// Appends every document of `db` to the two vectors.
+void copy_documents(const SignatureDatabase& db,
+                    std::vector<vsm::SparseVector>& signatures,
+                    std::vector<std::string>& labels) {
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    signatures.push_back(db.signature(i));
+    labels.push_back(db.label(i));
+  }
+}
+
 }  // namespace
+
+// ------------------------------------------------------------ the ladder
+
+std::size_t segment_tier(std::size_t docs) noexcept {
+  std::size_t tier = 0;
+  for (; docs >= kSegmentMergeFanout; docs /= kSegmentMergeFanout) ++tier;
+  return tier;
+}
+
+std::optional<SegmentRun> next_merge(
+    std::span<const std::size_t> segment_docs) {
+  const std::size_t n = segment_docs.size();
+  const auto tier = [&](std::size_t i) { return segment_tier(segment_docs[i]); };
+  // Order first: a segment outranking its predecessor absorbs the run of
+  // lower-tier segments just before it.
+  for (std::size_t i = n; i-- > 1;) {
+    const std::size_t top = tier(i);
+    if (top <= tier(i - 1)) continue;
+    std::size_t begin = i - 1;
+    while (begin > 0 && tier(begin - 1) < top) --begin;
+    return SegmentRun{begin, i + 1};
+  }
+  // Tiers now descend from oldest to newest, so each tier's segments are
+  // adjacent and the newest end meets them lowest tier first.
+  std::size_t end = n;
+  while (end > 0) {
+    const std::size_t current = tier(end - 1);
+    std::size_t begin = end - 1;
+    while (begin > 0 && tier(begin - 1) == current) --begin;
+    if (end - begin >= kSegmentMergeFanout) return SegmentRun{begin, n};
+    end = begin;
+  }
+  return std::nullopt;
+}
 
 // ---------------------------------------------------------------- Snapshot
 
@@ -105,8 +158,9 @@ std::size_t LiveDatabase::Snapshot::num_segments() const noexcept {
   return epoch_->segments.size();
 }
 
-const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
-  if (id < epoch_->base_docs) return epoch_->base->label(id);
+std::pair<const SignatureDatabase*, std::size_t>
+LiveDatabase::Snapshot::locate(std::size_t id) const {
+  if (id < epoch_->base_docs) return {epoch_->base.get(), id};
   // Segments are ordered by first_id; find the one whose range holds `id`.
   const auto& segments = epoch_->segments;
   auto it = std::upper_bound(
@@ -118,23 +172,18 @@ const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
     throw std::out_of_range("LiveDatabase: id out of range");
   }
   --it;
-  return it->db->label(id - it->first_id);
+  return {it->db.get(), id - it->first_id};
+}
+
+const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
+  const auto [part, local] = locate(id);
+  return part->label(local);
 }
 
 const vsm::SparseVector& LiveDatabase::Snapshot::signature(
     std::size_t id) const {
-  if (id < epoch_->base_docs) return epoch_->base->signature(id);
-  const auto& segments = epoch_->segments;
-  auto it = std::upper_bound(
-      segments.begin(), segments.end(), id,
-      [](std::size_t value, const LiveSegment& seg) {
-        return value < seg.first_id;
-      });
-  if (it == segments.begin()) {
-    throw std::out_of_range("LiveDatabase: id out of range");
-  }
-  --it;
-  return it->db->signature(id - it->first_id);
+  const auto [part, local] = locate(id);
+  return part->signature(local);
 }
 
 std::vector<SearchHit> LiveDatabase::Snapshot::search(
@@ -149,19 +198,46 @@ std::vector<std::vector<SearchHit>> LiveDatabase::Snapshot::search_batch(
     SimilarityMetric metric, PruningMode mode, QueryStats* stats,
     const SearchOptions& options) const {
   const LiveEpoch& epoch = *epoch_;
-  // The base probe carries the caller's full options — outcomes report the
-  // fate of the dominant probe; segment probes share the same deadline.
-  auto results = epoch.base->search_batch(queries, k, metric,
-                                          ScanPolicy::kIndexed, mode, stats,
-                                          options);
-  if (epoch.segments.empty() || k == 0) return results;
+  if (epoch.segments.empty() || k == 0) {
+    return epoch.base->search_batch(queries, k, metric, ScanPolicy::kIndexed,
+                                    mode, stats, options);
+  }
 
-  SearchOptions segment_options;
-  segment_options.deadline = options.deadline;
+  // Every part (the base, then each segment) is probed with the caller's
+  // deadline and fault seam, the seam's shard numbers shifted past the
+  // parts before. Outcomes are collected per part and folded per query.
+  const bool track = options.outcomes != nullptr;
+  std::vector<QueryOutcome> part_outcomes;
+  std::vector<QueryOutcome> folded(track ? queries.size() : 0,
+                                   QueryOutcome::kOk);
+  std::vector<bool> answered(folded.size(), false);
+  QueryStats part_stats;
+  SearchOptions part_options;
+  part_options.deadline = options.deadline;
+  if (track) part_options.outcomes = &part_outcomes;
+  std::size_t shard_offset = 0;
+  if (options.inject_cell_fault) {
+    part_options.inject_cell_fault = [&](std::size_t query, std::size_t shard) {
+      options.inject_cell_fault(query, shard_offset + shard);
+    };
+  }
+  const auto probe = [&](const SignatureDatabase& part) {
+    auto hits = part.search_batch(queries, k, metric, ScanPolicy::kIndexed,
+                                  mode, &part_stats, part_options);
+    shard_offset += part.num_shards();
+    for (std::size_t q = 0; q < folded.size(); ++q) {
+      if (part_outcomes[q] == QueryOutcome::kOk) {
+        answered[q] = true;
+      } else if (folded[q] == QueryOutcome::kOk) {
+        folded[q] = part_outcomes[q];
+      }
+    }
+    return hits;
+  };
+
+  auto results = probe(*epoch.base);
   for (const LiveSegment& segment : epoch.segments) {
-    auto partial = segment.db->search_batch(queries, k, metric,
-                                            ScanPolicy::kIndexed, mode, stats,
-                                            segment_options);
+    auto partial = probe(*segment.db);
     for (std::size_t q = 0; q < partial.size(); ++q) {
       for (SearchHit& hit : partial[q]) {
         hit.id += segment.first_id;
@@ -175,6 +251,33 @@ std::vector<std::vector<SearchHit>> LiveDatabase::Snapshot::search_batch(
     std::sort(merged.begin(), merged.end(), hit_ranks_better);
     if (merged.size() > k) merged.resize(k);
   }
+
+  if (track) {
+    // Each part tallied its own outcomes; count each query once instead.
+    part_stats.deadline_exceeded = 0;
+    part_stats.cancelled = 0;
+    part_stats.shard_failed = 0;
+    part_stats.partial_results = 0;
+    for (std::size_t q = 0; q < folded.size(); ++q) {
+      switch (folded[q]) {
+        case QueryOutcome::kOk:
+        case QueryOutcome::kRejected:  // tallied by the part that refused it
+          continue;
+        case QueryOutcome::kDeadlineExceeded:
+          ++part_stats.deadline_exceeded;
+          break;
+        case QueryOutcome::kCancelled:
+          ++part_stats.cancelled;
+          break;
+        case QueryOutcome::kShardFailed:
+          ++part_stats.shard_failed;
+          break;
+      }
+      if (answered[q] || !results[q].empty()) ++part_stats.partial_results;
+    }
+    *options.outcomes = std::move(folded);
+  }
+  if (stats != nullptr) *stats += part_stats;
   return results;
 }
 
@@ -222,32 +325,69 @@ void LiveDatabase::open() {
       base->load(env_, dir_ + "/" + manifest.snapshot);
       recovery_.snapshot_loaded = true;
     }
-    // Replay: every intact journal record becomes one sealed segment, so
-    // the recovered epoch has exactly the shape the writer published —
-    // and searches bit-identical to a fresh bulk build of the same docs.
-    std::size_t next_id = base->size();
-    std::vector<LiveSegment> segments;
+    // Replay: the intact journal records are planned into the settled
+    // ladder with the writer's own rule (next_merge), then each planned
+    // group is sealed once — fewer, larger builds than one per record, and
+    // searches bit-identical to a fresh bulk build of the same docs.
+    struct Record {
+      std::vector<vsm::SparseVector> signatures;
+      std::vector<std::string> labels;
+      JournalRecord payload;
+    };
+    std::vector<Record> records;
+    std::vector<std::size_t> group_docs;   // the planned ladder, oldest first
+    std::vector<std::size_t> group_first;  // index of each group's first record
     const std::string journal_path = dir_ + "/" + manifest.journal;
-    const std::size_t base_shards = base->num_shards();
     const auto replayed = io::journal::replay(
         env_, journal_path,
-        [&next_id, &segments, base_shards](std::span<const std::byte> payload) {
-          std::vector<vsm::SparseVector> signatures;
-          std::vector<std::string> labels;
-          decode_batch(payload, signatures, labels);
-          if (signatures.empty()) return;
-          auto record = std::make_shared<std::vector<std::byte>>(
+        [&](std::span<const std::byte> payload) {
+          Record record;
+          decode_batch(payload, record.signatures, record.labels);
+          if (record.signatures.empty()) return;
+          record.payload = std::make_shared<const std::vector<std::byte>>(
               payload.begin(), payload.end());
-          const std::size_t batch = signatures.size();
-          LiveSegment segment;
-          segment.first_id = next_id;
-          segment.db = seal_segment(std::move(signatures), std::move(labels),
-                                    base_shards);
-          segment.journal_payload = std::move(record);
-          segments.push_back(std::move(segment));
-          next_id += batch;
+          group_docs.push_back(record.signatures.size());
+          group_first.push_back(records.size());
+          records.push_back(std::move(record));
+          while (const auto run = next_merge(group_docs)) {
+            std::size_t docs = 0;
+            for (std::size_t g = run->begin; g < run->end; ++g) {
+              docs += group_docs[g];
+            }
+            const auto first = static_cast<std::ptrdiff_t>(run->begin);
+            group_docs.erase(group_docs.begin() + first + 1,
+                             group_docs.begin() +
+                                 static_cast<std::ptrdiff_t>(run->end));
+            group_first.erase(group_first.begin() + first + 1,
+                              group_first.begin() +
+                                  static_cast<std::ptrdiff_t>(run->end));
+            group_docs[run->begin] = docs;
+          }
         },
         /*repair=*/true);
+    std::size_t next_id = base->size();
+    std::vector<LiveSegment> segments;
+    group_first.push_back(records.size());
+    for (std::size_t g = 0; g + 1 < group_first.size(); ++g) {
+      std::vector<vsm::SparseVector> signatures;
+      std::vector<std::string> labels;
+      signatures.reserve(group_docs[g]);
+      labels.reserve(group_docs[g]);
+      LiveSegment segment;
+      segment.first_id = next_id;
+      for (std::size_t r = group_first[g]; r < group_first[g + 1]; ++r) {
+        Record& record = records[r];
+        std::move(record.signatures.begin(), record.signatures.end(),
+                  std::back_inserter(signatures));
+        std::move(record.labels.begin(), record.labels.end(),
+                  std::back_inserter(labels));
+        segment.journal_records.push_back(std::move(record.payload));
+      }
+      next_id += signatures.size();
+      segment.db = seal_segment(std::move(signatures), std::move(labels),
+                                base->num_shards());
+      segments.push_back(std::move(segment));
+    }
     recovery_.journal_records_replayed = replayed.records;
     recovery_.journal_truncated = replayed.truncated_tail;
     recovery_.journal_bytes_dropped = replayed.dropped_bytes;
@@ -317,7 +457,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
   // Seal outside the writer lock: concurrent ingests encode and build
   // their segments in parallel; only the journal append + pointer swap
   // serialize.
-  std::shared_ptr<const std::vector<std::byte>> payload;
+  JournalRecord payload;
   if (options_.journaled) {
     payload = std::make_shared<const std::vector<std::byte>>(
         encode_batch(signatures, labels));
@@ -347,7 +487,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     LiveSegment segment;
     segment.first_id = first;
     segment.db = std::move(segment_db);
-    segment.journal_payload = std::move(payload);
+    if (payload) segment.journal_records.push_back(std::move(payload));
     next->segments.push_back(std::move(segment));
     next->total_docs = current->total_docs + batch;
     publish(std::move(next));
@@ -356,7 +496,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
 
   live_metrics().batches->inc();
   live_metrics().docs->inc(batch);
-  maybe_schedule_refreeze();
+  after_publish();
   return first;
 }
 
@@ -366,35 +506,70 @@ void LiveDatabase::sync() {
   if (journal_) journal_->sync();
 }
 
-void LiveDatabase::maybe_schedule_refreeze() {
-  if (!options_.background_refreeze) return;
-  const auto current = acquire();
-  const std::size_t tail = current->total_docs - current->base_docs;
-  if (tail < options_.refreeze_min_docs) return;
-  if (static_cast<double>(tail) <
-      options_.refreeze_fraction * static_cast<double>(current->base_docs)) {
+bool LiveDatabase::fold_due(const LiveEpoch& epoch) const {
+  const std::size_t tail = epoch.total_docs - epoch.base_docs;
+  return !epoch.segments.empty() && tail >= options_.refreeze_min_docs &&
+         static_cast<double>(tail) >=
+             options_.refreeze_fraction *
+                 static_cast<double>(epoch.base_docs);
+}
+
+std::optional<SegmentRun> LiveDatabase::plan_merge(const LiveEpoch& epoch) {
+  std::vector<std::size_t> docs;
+  docs.reserve(epoch.segments.size());
+  for (const LiveSegment& segment : epoch.segments) {
+    docs.push_back(segment.db->size());
+  }
+  return next_merge(docs);
+}
+
+void LiveDatabase::after_publish() {
+  if (!options_.background_refreeze) {
+    // Inline: settle the ladder on the writer's thread, unless a fold or
+    // another writer's merge holds the slot (the next batch retries).
+    if (refreeze_inflight_.exchange(true)) return;
+    try {
+      while (do_merge()) {
+      }
+    } catch (const std::exception&) {
+      // The batch is already published and durable; a merge that could
+      // not be built leaves the tail as it was, and the next batch retries.
+    }
+    refreeze_inflight_.store(false);
     return;
+  }
+  {
+    const auto current = acquire();
+    if (!fold_due(*current) && !plan_merge(*current)) return;
   }
   if (refreeze_inflight_.exchange(true)) return;  // single-flight
   exec::TaskPool& pool =
       options_.pool != nullptr ? *options_.pool : exec::TaskPool::shared();
   try {
     const std::lock_guard<std::mutex> lock(refreeze_mutex_);
-    refreeze_future_ = pool.submit([this] {
-      try {
-        do_refreeze();
-      } catch (const std::exception&) {
-        // Background folds fail soft: the published epoch is untouched,
-        // ingest continues, the next qualifying batch retries. Torn files
-        // are unreferenced and swept at the next open.
-        live_metrics().refreeze_failures->inc();
-      }
-      refreeze_inflight_.store(false);
-    });
+    refreeze_future_ = pool.submit([this] { run_maintenance(); });
   } catch (...) {
     refreeze_inflight_.store(false);
     throw;
   }
+}
+
+void LiveDatabase::run_maintenance() {
+  try {
+    for (;;) {
+      if (fold_due(*acquire())) {
+        if (!do_refreeze()) break;
+      } else if (!do_merge()) {
+        break;
+      }
+    }
+  } catch (const std::exception&) {
+    // Background work fails soft: the published epoch is untouched,
+    // ingest continues, the next qualifying batch retries. Torn files
+    // are unreferenced and swept at the next open.
+    live_metrics().refreeze_failures->inc();
+  }
+  refreeze_inflight_.store(false);
 }
 
 bool LiveDatabase::refreeze_now() {
@@ -446,15 +621,9 @@ bool LiveDatabase::do_refreeze() {
     std::vector<std::string> labels;
     signatures.reserve(capture->total_docs);
     labels.reserve(capture->total_docs);
-    for (std::size_t i = 0; i < old_base.size(); ++i) {
-      signatures.push_back(old_base.signature(i));
-      labels.push_back(old_base.label(i));
-    }
+    copy_documents(old_base, signatures, labels);
     for (const LiveSegment& segment : capture->segments) {
-      for (std::size_t i = 0; i < segment.db->size(); ++i) {
-        signatures.push_back(segment.db->signature(i));
-        labels.push_back(segment.db->label(i));
-      }
+      copy_documents(*segment.db, signatures, labels);
     }
     auto rebuilt = std::make_shared<SignatureDatabase>(base_shards_);
     rebuilt->add_batch(std::move(signatures), std::move(labels));
@@ -492,7 +661,9 @@ bool LiveDatabase::do_refreeze() {
       fresh_journal = std::make_unique<io::journal::Writer>(
           env_, dir_ + "/" + journal_file, options_.sync_policy);
       for (const LiveSegment& segment : survivors) {
-        fresh_journal->append(*segment.journal_payload);
+        for (const JournalRecord& record : segment.journal_records) {
+          fresh_journal->append(*record);
+        }
       }
       fresh_journal->sync();
     }
@@ -550,6 +721,67 @@ bool LiveDatabase::do_refreeze() {
   return true;
 }
 
+bool LiveDatabase::do_merge() {
+  const auto capture = acquire();
+  const auto run = plan_merge(*capture);
+  if (!run) return false;
+  const auto start = std::chrono::steady_clock::now();
+  const obs::StageSpan span(obs::Stage::kSegmentMerge);
+
+  // Build outside every lock: ingest keeps appending segments meanwhile,
+  // and nothing else can touch this run while the slot is held.
+  const std::span<const LiveSegment> parts(
+      capture->segments.data() + run->begin, run->end - run->begin);
+  std::size_t docs = 0;
+  for (const LiveSegment& part : parts) docs += part.db->size();
+  std::vector<vsm::SparseVector> signatures;
+  std::vector<std::string> labels;
+  signatures.reserve(docs);
+  labels.reserve(docs);
+  LiveSegment merged;
+  merged.first_id = parts.front().first_id;
+  for (const LiveSegment& part : parts) {
+    copy_documents(*part.db, signatures, labels);
+    merged.journal_records.insert(merged.journal_records.end(),
+                                  part.journal_records.begin(),
+                                  part.journal_records.end());
+  }
+  merged.db = seal_segment(std::move(signatures), std::move(labels),
+                           base_shards_);
+
+  // Swap the run in. Only add_batch publishes while the slot is held, and
+  // it only appends, so the run is still at the same place; pointer
+  // identity confirms it.
+  {
+    const std::lock_guard<std::mutex> lock(writer_mutex_);
+    if (commit_poisoned_) return false;
+    const auto current = acquire();
+    const auto same = [](const LiveSegment& a, const LiveSegment& b) {
+      return a.db == b.db;
+    };
+    if (current->segments.size() < run->end ||
+        !std::equal(parts.begin(), parts.end(),
+                    current->segments.begin() +
+                        static_cast<std::ptrdiff_t>(run->begin),
+                    same)) {
+      return false;
+    }
+    auto next = std::make_shared<LiveEpoch>(*current);
+    next->sequence = current->sequence + 1;
+    auto& segments = next->segments;
+    segments[run->begin] = std::move(merged);
+    segments.erase(
+        segments.begin() + static_cast<std::ptrdiff_t>(run->begin) + 1,
+        segments.begin() + static_cast<std::ptrdiff_t>(run->end));
+    publish(std::move(next));
+  }
+
+  segment_merges_.fetch_add(1, std::memory_order_relaxed);
+  live_metrics().segment_merges->inc();
+  live_metrics().segment_merge_ns->record(elapsed_ns(start));
+  return true;
+}
+
 std::vector<SearchHit> LiveDatabase::search(const vsm::SparseVector& query,
                                             std::size_t k,
                                             SimilarityMetric metric,
@@ -577,6 +809,7 @@ LiveStats LiveDatabase::stats() const {
   out.published_sequence = epoch->sequence;
   out.manifest_epoch = epoch->manifest_epoch;
   out.refreezes = refreezes();
+  out.segment_merges = segment_merges_.load(std::memory_order_relaxed);
   out.total_docs = epoch->total_docs;
   out.base_docs = epoch->base_docs;
   out.tail_docs = epoch->total_docs - epoch->base_docs;
@@ -586,6 +819,7 @@ LiveStats LiveDatabase::stats() const {
   for (const LiveSegment& segment : epoch->segments) {
     out.memory_bytes += segment.db->index().memory_bytes();
     out.segment_shards.push_back(segment.db->num_shards());
+    out.segment_docs.push_back(segment.db->size());
   }
   return out;
 }

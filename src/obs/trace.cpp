@@ -22,6 +22,8 @@ const char* stage_name(Stage stage) noexcept {
       return "snapshot_load";
     case Stage::kRefreeze:
       return "refreeze";
+    case Stage::kSegmentMerge:
+      return "segment_merge";
     case Stage::kStageCount_:
       break;
   }
@@ -48,6 +50,8 @@ const char* stage_help(Stage stage) noexcept {
       return "Time opening and validating one snapshot";
     case Stage::kRefreeze:
       return "Time folding the live archive's tail into a fresh base";
+    case Stage::kSegmentMerge:
+      return "Time merging adjacent live-archive tail segments into one";
     case Stage::kStageCount_:
       break;
   }

@@ -33,6 +33,7 @@ enum class Stage : int {
   kSnapshotSave,      ///< snapshot write + finish
   kSnapshotLoad,      ///< snapshot open + validate
   kRefreeze,          ///< live-archive background tail fold + epoch swap
+  kSegmentMerge,      ///< live-archive merge of adjacent tail segments
   kStageCount_,       ///< sentinel — not a stage
 };
 

@@ -436,15 +436,19 @@ std::size_t live_recovered_prefix(const LiveDatabase::Snapshot& got,
 
 /// The live lifecycle whose every fault point the matrix kills: open
 /// fresh, `before_fold` committed batches, a re-freeze whose capture is
-/// raced by a batch sealed mid-fold (the survivor re-journal path), one
-/// more batch, and a second re-freeze. With one committed batch and one
-/// shard the first fold adopts its only segment as the base instead of
-/// rebuilding. `committed` is updated as each add_batch returns — under
-/// kNone + sync_each_epoch that return IS the commit point — so the caller
-/// knows the durability floor even when a fault unwinds the lifecycle.
+/// raced by `mid_fold` batches sealed mid-fold (the survivor re-journal
+/// path), one more batch, and a second re-freeze. With one committed batch
+/// and one shard the first fold adopts its only segment as the base
+/// instead of rebuilding. With at least kSegmentMergeFanout small batches
+/// on either side of the first fold, the tail merges them into multi-record
+/// segments: before the fold, and again once the fold commits, when the
+/// batch after it merges with the survivors. `committed` is updated as each
+/// add_batch returns — under kNone + sync_each_epoch that return IS the
+/// commit point — so the caller knows the durability floor even when a
+/// fault unwinds the lifecycle.
 void run_live_lifecycle(io::Env& env, const std::vector<Batch>& batches,
                         std::size_t shards, std::size_t before_fold,
-                        std::size_t& committed) {
+                        std::size_t mid_fold, std::size_t& committed) {
   LiveOptions options;
   options.num_shards = shards;
   options.background_refreeze = false;
@@ -453,9 +457,10 @@ void run_live_lifecycle(io::Env& env, const std::vector<Batch>& batches,
   options.after_refreeze_capture = [&] {
     if (sealed_mid_fold) return;
     sealed_mid_fold = true;
-    handle->add_batch(batches[before_fold].signatures,
-                      batches[before_fold].labels);
-    ++committed;
+    for (std::size_t b = before_fold; b < before_fold + mid_fold; ++b) {
+      handle->add_batch(batches[b].signatures, batches[b].labels);
+      ++committed;
+    }
   };
   LiveDatabase db(env, "live", options);
   handle = &db;
@@ -463,21 +468,23 @@ void run_live_lifecycle(io::Env& env, const std::vector<Batch>& batches,
     db.add_batch(batches[b].signatures, batches[b].labels);
     ++committed;
   }
-  db.refreeze_now();  // folds the first batches, re-journals the mid-fold one
-  db.add_batch(batches[before_fold + 1].signatures,
-               batches[before_fold + 1].labels);
+  db.refreeze_now();  // folds the first batches, re-journals the mid-fold ones
+  const std::size_t last = before_fold + mid_fold;
+  db.add_batch(batches[last].signatures, batches[last].labels);
   ++committed;
-  db.refreeze_now();  // folds the last two
+  db.refreeze_now();  // folds the rest
 }
 
 /// Kills the lifecycle above at every fault point under both crash models
 /// and checks that each reopen lands on the old or the new epoch.
-void run_live_crash_matrix(std::size_t shards, std::size_t before_fold) {
-  const auto batches = make_batches(before_fold + 2, 3);
+void run_live_crash_matrix(std::size_t shards, std::size_t before_fold,
+                           std::size_t mid_fold = 1) {
+  const auto batches = make_batches(before_fold + mid_fold + 1, 3);
 
   FaultInjectingEnv counter;
   std::size_t clean_committed = 0;
-  run_live_lifecycle(counter, batches, shards, before_fold, clean_committed);
+  run_live_lifecycle(counter, batches, shards, before_fold, mid_fold,
+                     clean_committed);
   ASSERT_EQ(clean_committed, batches.size());
   const std::uint64_t total_ops = counter.ops_seen();
   ASSERT_GT(total_ops, 20u) << "lifecycle too small to be a real matrix";
@@ -496,7 +503,8 @@ void run_live_crash_matrix(std::size_t shards, std::size_t before_fold) {
       env.fail_at_op(n);
       std::size_t committed = 0;
       try {
-        run_live_lifecycle(env, batches, shards, before_fold, committed);
+        run_live_lifecycle(env, batches, shards, before_fold, mid_fold,
+                           committed);
         // A fault in the post-commit retirement section (deleting the old
         // epoch's files) is deliberately tolerated: the swap has already
         // committed, so ingest must not fail over a leftover file the
@@ -530,6 +538,10 @@ void run_live_crash_matrix(std::size_t shards, std::size_t before_fold) {
       expect_live_equivalent(recovered.snapshot(),
                              build_reference(batches, prefix, shards),
                              context);
+      // Merges write nothing: the journal holds one record per batch.
+      EXPECT_EQ(recovered.recovery().journal_records_replayed * 3,
+                recovered.stats().tail_docs)
+          << context;
 
       // And the recovered archive still ingests + re-freezes.
       recovered.add_batch(batches[0].signatures, batches[0].labels);
@@ -559,6 +571,26 @@ TEST(LiveDatabase, EpochSwapCrashMatrixWithAdoptingFold) {
       << "this lifecycle's first fold no longer adopts";
 
   run_live_crash_matrix(/*shards=*/1, /*before_fold=*/1);
+}
+
+// Enough small batches on both sides of the first fold that the tail holds
+// merged multi-record segments before it and after its commit.
+TEST(LiveDatabase, EpochSwapCrashMatrixWithMergedSegments) {
+  InMemoryEnv env;
+  const std::size_t batches_each_side = kSegmentMergeFanout + 1;
+  const auto batches = make_batches(batches_each_side, 3);
+  LiveOptions options;
+  options.num_shards = 2;
+  options.background_refreeze = false;
+  LiveDatabase probe(env, "probe", options);
+  for (std::size_t b = 0; b < batches_each_side; ++b) {
+    probe.add_batch(batches[b].signatures, batches[b].labels);
+  }
+  ASSERT_LT(probe.stats().segments, batches_each_side)
+      << "this lifecycle no longer merges before its fold";
+
+  run_live_crash_matrix(/*shards=*/2, /*before_fold=*/batches_each_side,
+                        /*mid_fold=*/batches_each_side - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@
 //   * a batch of at least exec::kMinDocsForParallelBuild docs seals across
 //     the base's shard count (smaller ones into one shard), journal replay
 //     re-seals it in the same shape, and a fold over an empty base adopts
-//     such a segment as the base, writing the bulk build's exact bytes.
+//     such a segment as the base, writing the bulk build's exact bytes;
+//   * the tail's segment ladder (next_merge) keeps few segments, merges
+//     only adjacent runs, rebuilds each document O(log_F) times, never
+//     changes an answer, and a reopen replays it to the settled shape;
+//   * every probe's outcome (base and segments) folds into the caller's
+//     per-query outcome vector.
 //
 // The concurrency tests at the bottom run under the TSan CI job and are
 // the regression tests for the stats-scrape-vs-ingest race and the
@@ -21,8 +26,14 @@
 // add_batch/freeze, and queries must be safe against concurrent re-freeze.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +43,7 @@
 #include "fmeter/database.hpp"
 #include "fmeter/live_database.hpp"
 #include "io/env.hpp"
+#include "io/journal.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -98,8 +110,9 @@ void expect_live_equivalent(const LiveDatabase::Snapshot& got,
     const auto query = random_sparse(rng, 64, 10);
     for (const auto metric :
          {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
-      for (const auto mode : {index::PruningMode::kExact,
-                              index::PruningMode::kMaxScore}) {
+      for (const auto mode :
+           {index::PruningMode::kExact, index::PruningMode::kMaxScore,
+            index::PruningMode::kAuto}) {
         const auto got_hits = got.search(query, 5, metric, mode);
         const auto want_hits = want.search(query, 5, metric,
                                            ScanPolicy::kIndexed, mode);
@@ -428,6 +441,364 @@ TEST(LiveDatabase, FoldAdoptsBaseShapedSegment) {
 }
 
 // ---------------------------------------------------------------------------
+// The tail's segment ladder
+// ---------------------------------------------------------------------------
+
+/// Batches of the given sizes with labels unique across the whole list.
+std::vector<Batch> sized_batches(const std::vector<std::size_t>& sizes,
+                                 std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Batch> batches(sizes.size());
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    for (std::size_t d = 0; d < sizes[b]; ++d) {
+      batches[b].signatures.push_back(random_sparse(rng, 64, 10));
+      batches[b].labels.push_back("batch-" + std::to_string(b) + "-doc-" +
+                                  std::to_string(d));
+    }
+  }
+  return batches;
+}
+
+/// The most segments a settled tail of `docs` docs may hold.
+std::size_t settled_segment_bound(std::size_t docs) {
+  return (kSegmentMergeFanout - 1) * (segment_tier(docs) + 1);
+}
+
+TEST(SegmentLadder, TierIsFloorLogOfTheFanout) {
+  constexpr std::size_t F = kSegmentMergeFanout;
+  EXPECT_EQ(segment_tier(0), 0u);
+  EXPECT_EQ(segment_tier(1), 0u);
+  EXPECT_EQ(segment_tier(F - 1), 0u);
+  EXPECT_EQ(segment_tier(F), 1u);
+  EXPECT_EQ(segment_tier(F * F - 1), 1u);
+  EXPECT_EQ(segment_tier(F * F), 2u);
+  EXPECT_EQ(segment_tier(F * F * F), 3u);
+}
+
+TEST(SegmentLadder, SettledTailIsLeftAlone) {
+  EXPECT_EQ(next_merge({}), std::nullopt);
+  const std::vector<std::size_t> one = {64};
+  EXPECT_EQ(next_merge(one), std::nullopt);
+  std::vector<std::size_t> below_fanout(kSegmentMergeFanout - 1, 64);
+  EXPECT_EQ(next_merge(below_fanout), std::nullopt);
+  below_fanout.push_back(64);
+  EXPECT_EQ(next_merge(below_fanout),
+            (SegmentRun{0, kSegmentMergeFanout}));
+  // A segment outranking its predecessor absorbs the smaller run before it.
+  const std::vector<std::size_t> inverted = {4096, 64, 64, 5000};
+  EXPECT_EQ(next_merge(inverted), (SegmentRun{1, 4}));
+}
+
+/// One simulated tail: segment doc counts plus, per segment, the batches
+/// it holds (first id, docs, times built) so the property test can check
+/// id order and bound rebuilds.
+struct LadderTail {
+  struct Piece {
+    std::size_t first = 0;
+    std::size_t docs = 0;
+    std::size_t builds = 0;
+  };
+  std::vector<std::size_t> docs;
+  std::vector<std::vector<Piece>> pieces;
+  std::size_t total = 0;
+
+  /// Appends one sealed batch, then merges as add_batch does.
+  void add(std::size_t batch) {
+    docs.push_back(batch);
+    pieces.push_back({{total, batch, 1}});
+    total += batch;
+    while (const auto run = next_merge(docs)) {
+      ASSERT_LT(run->begin + 1, run->end) << "a merge needs two segments";
+      ASSERT_LE(run->end, docs.size());
+      std::size_t merged = 0;
+      std::vector<Piece> merged_pieces;
+      for (std::size_t i = run->begin; i < run->end; ++i) {
+        merged += docs[i];
+        for (Piece piece : pieces[i]) {
+          ++piece.builds;
+          merged_pieces.push_back(piece);
+        }
+      }
+      const auto begin = static_cast<std::ptrdiff_t>(run->begin);
+      const auto end = static_cast<std::ptrdiff_t>(run->end);
+      docs.erase(docs.begin() + begin + 1, docs.begin() + end);
+      pieces.erase(pieces.begin() + begin + 1, pieces.begin() + end);
+      docs[run->begin] = merged;
+      pieces[run->begin] = std::move(merged_pieces);
+    }
+  }
+};
+
+TEST(SegmentLadder, PropertySettledShapeIsLogarithmicAndContiguous) {
+  for (std::uint64_t seed = 0; seed < 48; ++seed) {
+    util::Rng rng(0x1add3 + seed);
+    const std::size_t batches = 1 + rng.below(300);
+    LadderTail tail;
+    std::size_t max_builds = 0;
+    for (std::size_t b = 0; b < batches; ++b) {
+      // Half the sequences draw sizes uniformly from 1..5000; the other
+      // half log-uniformly, so small batches (low tiers) are common too.
+      const std::size_t size =
+          seed % 2 == 0
+              ? 1 + rng.below(5000)
+              : std::clamp<std::size_t>(
+                    static_cast<std::size_t>(
+                        std::exp(rng.uniform(0.0, std::log(5000.0)))),
+                    1, 5000);
+      tail.add(size);
+      if (::testing::Test::HasFatalFailure()) return;
+
+      const std::string context =
+          "seed " + std::to_string(seed) + " batch " + std::to_string(b);
+      ASSERT_LE(tail.docs.size(), settled_segment_bound(tail.total))
+          << context;
+      // Contiguity: each segment holds whole batches in ingest order, and
+      // the segments tile [0, total) in that order.
+      std::size_t next_id = 0;
+      for (std::size_t i = 0; i < tail.docs.size(); ++i) {
+        std::size_t piece_docs = 0;
+        for (const auto& piece : tail.pieces[i]) {
+          ASSERT_EQ(piece.first, next_id) << context;
+          next_id += piece.docs;
+          piece_docs += piece.docs;
+          max_builds = std::max(max_builds, piece.builds);
+        }
+        ASSERT_EQ(piece_docs, tail.docs[i]) << context;
+        if (i > 0) {
+          ASSERT_GE(segment_tier(tail.docs[i - 1]),
+                    segment_tier(tail.docs[i]))
+              << context << ": tiers rise toward the newest segment";
+        }
+      }
+      ASSERT_EQ(next_id, tail.total) << context;
+    }
+    // Seal, at most one non-lifting merge on arrival, one lift per tier.
+    EXPECT_LE(max_builds, segment_tier(tail.total) + 2)
+        << "seed " << seed << ": " << tail.total << " docs";
+  }
+
+  // The monitoring shape: at fan-out 8, 72 batches of 64 settle to
+  // 4,096 + 512.
+  LadderTail monitor;
+  for (int b = 0; b < 72; ++b) monitor.add(64);
+  EXPECT_EQ(monitor.docs, (std::vector<std::size_t>{4096, 512}));
+}
+
+TEST(LiveDatabase, LadderAnswersLikeBulkBuildAfterEveryBatch) {
+  InMemoryEnv env;
+  util::Rng rng(0x1adde5);
+  std::vector<std::size_t> sizes;
+  for (int b = 0; b < 40; ++b) {
+    sizes.push_back(1 + rng.below(b % 3 == 0 ? 300 : 40));
+  }
+  const auto batches = sized_batches(sizes, 0xd1ff);
+  LiveDatabase db(env, "live", foreground_options());
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    db.add_batch(batches[b].signatures, batches[b].labels);
+    if (b == 24) {
+      ASSERT_TRUE(db.refreeze_now());  // a ladder over a base from here on
+    }
+    const auto stats = db.stats();
+    const std::string context = "after batch " + std::to_string(b);
+    EXPECT_EQ(next_merge(stats.segment_docs), std::nullopt) << context;
+    EXPECT_LE(stats.segments, settled_segment_bound(stats.tail_docs))
+        << context;
+    expect_live_equivalent(db.snapshot(), build_reference(batches, b + 1, 2),
+                           context);
+  }
+  EXPECT_GT(db.stats().segment_merges, 0u);
+}
+
+TEST(LiveDatabase, ReopenReplaysTheSettledLadderShape) {
+  InMemoryEnv env;
+  util::Rng rng(0x5e77);
+  std::vector<std::size_t> sizes;
+  for (int b = 0; b < 36; ++b) sizes.push_back(1 + rng.below(1200));
+  const auto batches = sized_batches(sizes, 0x5e78);
+  LiveStats settled;
+  {
+    LiveDatabase db(env, "live", foreground_options());
+    for (std::size_t b = 0; b < 6; ++b) {
+      db.add_batch(batches[b].signatures, batches[b].labels);
+    }
+    ASSERT_TRUE(db.refreeze_now());
+    for (std::size_t b = 6; b < batches.size(); ++b) {
+      db.add_batch(batches[b].signatures, batches[b].labels);
+    }
+    settled = db.stats();
+    ASSERT_GT(settled.segment_merges, 0u);
+    ASSERT_LT(settled.segments, batches.size() - 6);
+    // A merge reached the parallel-build size, so the ladder holds a
+    // segment sealed across the base's shard count.
+    EXPECT_NE(std::find(settled.segment_shards.begin(),
+                        settled.segment_shards.end(), 2u),
+              settled.segment_shards.end());
+  }
+
+  LiveDatabase reopened(env, "live", foreground_options());
+  // Merges wrote nothing: the journal still holds one record per batch.
+  EXPECT_EQ(reopened.recovery().journal_records_replayed, batches.size() - 6);
+  const auto stats = reopened.stats();
+  EXPECT_EQ(stats.base_docs, settled.base_docs);
+  EXPECT_EQ(stats.segment_docs, settled.segment_docs);
+  EXPECT_EQ(stats.segment_shards, settled.segment_shards);
+  expect_live_equivalent(reopened.snapshot(),
+                         build_reference(batches, batches.size(), 2),
+                         "reopened ladder");
+}
+
+/// The journal a writer appending exactly these batches, one record each,
+/// would leave behind.
+std::string per_batch_journal(InMemoryEnv& env,
+                                         const std::vector<Batch>& batches,
+                                         std::size_t begin, std::size_t end) {
+  const std::string path = "expected/journal-" + std::to_string(begin) +
+                           "-" + std::to_string(end);
+  env.create_dir("expected");
+  io::journal::Writer writer(env, path, io::journal::SyncPolicy::kNone);
+  for (std::size_t b = begin; b < end; ++b) {
+    writer.append(encode_batch(batches[b].signatures, batches[b].labels));
+  }
+  writer.sync();
+  writer.close();
+  return env.read_file(path);
+}
+
+TEST(LiveDatabase, MergesWriteNothingJournalKeepsPerBatchRecords) {
+  InMemoryEnv env;
+  const std::size_t mid_fold = kSegmentMergeFanout + 2;
+  const auto batches = make_batches(20 + mid_fold + 4, 3, 0x10af);
+  auto options = foreground_options();
+  LiveDatabase* handle = nullptr;
+  options.after_refreeze_capture = [&] {
+    for (std::size_t b = 20; b < 20 + mid_fold; ++b) {
+      handle->add_batch(batches[b].signatures, batches[b].labels);
+    }
+  };
+  LiveDatabase db(env, "live", options);
+  handle = &db;
+  for (std::size_t b = 0; b < 20; ++b) {
+    db.add_batch(batches[b].signatures, batches[b].labels);
+  }
+  ASSERT_GT(db.stats().segment_merges, 0u);
+  EXPECT_EQ(env.read_file("live/" + journal_name(0)),
+            per_batch_journal(env, batches, 0, 20));
+
+  // The survivors sealed mid-fold are re-journaled record by record; the
+  // batches after the fold merge with them and still journal one each.
+  ASSERT_TRUE(db.refreeze_now());
+  EXPECT_EQ(db.stats().segments, mid_fold);  // no merge while the fold ran
+  for (std::size_t b = 20 + mid_fold; b < batches.size(); ++b) {
+    db.add_batch(batches[b].signatures, batches[b].labels);
+  }
+  EXPECT_LT(db.stats().segments, mid_fold);
+  EXPECT_EQ(env.read_file("live/" + journal_name(1)),
+            per_batch_journal(env, batches, 20, batches.size()));
+
+  LiveDatabase reopened(env, "live", foreground_options());
+  EXPECT_EQ(reopened.recovery().journal_records_replayed,
+            batches.size() - 20);
+  EXPECT_EQ(next_merge(reopened.stats().segment_docs), std::nullopt);
+  expect_live_equivalent(reopened.snapshot(),
+                         build_reference(batches, batches.size(), 2),
+                         "reopened after merged survivors");
+}
+
+// ---------------------------------------------------------------------------
+// Per-query outcomes across the base and the segments
+// ---------------------------------------------------------------------------
+
+/// A folded 2-shard base (batch 0) plus two single-shard tail segments.
+struct BasePlusTail {
+  InMemoryEnv env;
+  std::vector<Batch> batches = make_batches(3, 8, 0x0c0e);
+  LiveDatabase db{env, "live", foreground_options()};
+  BasePlusTail() {
+    db.add_batch(batches[0].signatures, batches[0].labels);
+    db.refreeze_now();
+    db.add_batch(batches[1].signatures, batches[1].labels);
+    db.add_batch(batches[2].signatures, batches[2].labels);
+  }
+};
+
+TEST(LiveDatabase, SegmentShardFaultReportsShardFailedAndKeepsBaseHits) {
+  BasePlusTail archive;
+  const auto snapshot = archive.db.snapshot();
+  ASSERT_EQ(snapshot.num_segments(), 2u);
+  const auto& query = archive.batches[0].signatures[0];
+
+  // Base shards are 0 and 1; the two segments' shards follow as 2 and 3.
+  std::set<std::size_t> shards_seen;
+  SearchOptions observe;
+  std::vector<QueryOutcome> outcomes;
+  observe.outcomes = &outcomes;
+  observe.inject_cell_fault = [&](std::size_t, std::size_t shard) {
+    shards_seen.insert(shard);
+  };
+  snapshot.search(query, 5, SimilarityMetric::kCosine, PruningMode::kExact,
+                  nullptr, observe);
+  EXPECT_EQ(shards_seen, (std::set<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(outcomes, std::vector<QueryOutcome>{QueryOutcome::kOk});
+
+  SearchOptions faulty;
+  faulty.outcomes = &outcomes;
+  faulty.inject_cell_fault = [](std::size_t, std::size_t shard) {
+    if (shard >= 2) throw std::runtime_error("segment probe fault");
+  };
+  QueryStats stats;
+  std::vector<SearchHit> hits;
+  EXPECT_NO_THROW(hits = snapshot.search(query, 5, SimilarityMetric::kCosine,
+                                         PruningMode::kExact, &stats, faulty));
+  EXPECT_EQ(outcomes, std::vector<QueryOutcome>{QueryOutcome::kShardFailed});
+  EXPECT_EQ(stats.shard_failed, 1u);
+  EXPECT_EQ(stats.partial_results, 1u);
+  // The base's hits are kept: exactly the answer of the base alone.
+  const auto base_only = build_reference(archive.batches, 1, 2).search(query, 5);
+  ASSERT_EQ(hits.size(), base_only.size());
+  for (std::size_t r = 0; r < hits.size(); ++r) {
+    EXPECT_EQ(hits[r].id, base_only[r].id) << "rank " << r;
+    EXPECT_EQ(hits[r].score, base_only[r].score) << "rank " << r;
+  }
+
+  // Without an outcome vector the failure throws, as in SignatureDatabase.
+  faulty.outcomes = nullptr;
+  EXPECT_THROW(snapshot.search(query, 5, SimilarityMetric::kCosine,
+                               PruningMode::kExact, nullptr, faulty),
+               std::runtime_error);
+}
+
+TEST(LiveDatabase, CancelDuringSegmentProbesIsReportedOnce) {
+  BasePlusTail archive;
+  const auto snapshot = archive.db.snapshot();
+  const std::vector<vsm::SparseVector> queries = {
+      archive.batches[0].signatures[0], archive.batches[0].signatures[1]};
+  CancelToken token;
+  SearchOptions options;
+  std::vector<QueryOutcome> outcomes;
+  options.outcomes = &outcomes;
+  options.deadline = Deadline::of_token(token);
+  // Cancel as the first segment probe starts: the base already answered,
+  // both segments stop at their first checkpoint.
+  options.inject_cell_fault = [&](std::size_t, std::size_t shard) {
+    if (shard == 2) token.cancel();
+  };
+  QueryStats stats;
+  const auto hits = snapshot.search_batch(queries, 5, SimilarityMetric::kCosine,
+                                          PruningMode::kExact, &stats, options);
+  EXPECT_EQ(outcomes, std::vector<QueryOutcome>(2, QueryOutcome::kCancelled));
+  EXPECT_EQ(stats.cancelled, 2u);  // once per query, not once per segment
+  EXPECT_EQ(stats.partial_results, 2u);
+  const auto base = build_reference(archive.batches, 1, 2);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto base_only = base.search(queries[q], 5);
+    ASSERT_EQ(hits[q].size(), base_only.size()) << "q " << q;
+    for (std::size_t r = 0; r < base_only.size(); ++r) {
+      EXPECT_EQ(hits[q][r].id, base_only[r].id) << "q " << q;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Concurrency (runs under the TSan CI job)
 // ---------------------------------------------------------------------------
 
@@ -616,6 +987,82 @@ TEST(LiveDatabase, PooledSearchesOnPinnedSnapshotDuringFoldAndIngest) {
     EXPECT_GT(stats_a.dispatch_pooled, 0u);
     EXPECT_GT(stats_b.dispatch_pooled, 0u);
   }
+}
+
+// Two writers and two readers against background folds and merges on
+// TaskPool::shared(). Each reader pins snapshots while the ladder and the
+// base change underneath; every answer must equal a bulk build of exactly
+// the pinned documents.
+TEST(LiveDatabase, ConcurrentWritersAndPinnedReadersDuringFoldsAndMerges) {
+  InMemoryEnv env;
+  const auto first = make_batches(24, 8, 0x7a11);
+  auto second = make_batches(24, 8, 0x7a12);
+  for (Batch& batch : second) {
+    for (std::string& label : batch.labels) label = "second-" + label;
+  }
+  LiveOptions options;
+  options.num_shards = 2;
+  options.refreeze_min_docs = 96;
+  options.refreeze_fraction = 0.5;
+  LiveDatabase db(env, "live", options);  // folds and merges on the shared pool
+
+  std::atomic<int> writers_running{2};
+  const auto writer = [&](const std::vector<Batch>& batches) {
+    for (const Batch& b : batches) db.add_batch(b.signatures, b.labels);
+    --writers_running;
+  };
+  const auto reader = [&](std::uint64_t seed) {
+    util::Rng rng(seed);
+    for (int pin = 0; pin < 4 || writers_running.load() > 0; ++pin) {
+      const auto snapshot = db.snapshot();
+      SignatureDatabase reference(2);
+      std::vector<vsm::SparseVector> signatures;
+      std::vector<std::string> labels;
+      for (std::size_t id = 0; id < snapshot.size(); ++id) {
+        signatures.push_back(snapshot.signature(id));
+        labels.push_back(snapshot.label(id));
+      }
+      reference.add_batch(std::move(signatures), std::move(labels));
+      for (int q = 0; q < 3; ++q) {
+        const auto query = random_sparse(rng, 64, 10);
+        const auto got = snapshot.search(query, 5);
+        const auto want = reference.search(query, 5);
+        ASSERT_EQ(got.size(), want.size()) << "pin " << pin;
+        for (std::size_t r = 0; r < want.size(); ++r) {
+          EXPECT_EQ(got[r].id, want[r].id) << "pin " << pin << " rank " << r;
+          EXPECT_EQ(got[r].label, want[r].label) << "pin " << pin;
+          EXPECT_EQ(got[r].score, want[r].score) << "pin " << pin;
+        }
+      }
+    }
+  };
+  std::thread writer_a(writer, std::cref(first));
+  std::thread writer_b(writer, std::cref(second));
+  std::thread reader_a(reader, 0x4ead);
+  std::thread reader_b(reader, 0x4eae);
+  writer_a.join();
+  writer_b.join();
+  reader_a.join();
+  reader_b.join();
+  db.wait_for_refreeze();
+
+  EXPECT_EQ(db.size(), 384u);
+  EXPECT_GE(db.refreezes(), 1u);
+  // Every batch stays whole and in its writer's order.
+  const auto snapshot = db.snapshot();
+  std::size_t next_a = 0;
+  std::size_t next_b = 0;
+  for (std::size_t id = 0; id < snapshot.size(); id += 8) {
+    const std::string& label = snapshot.label(id);
+    const bool from_a = next_a < first.size() &&
+                        label == first[next_a].labels.front();
+    const Batch& batch = from_a ? first[next_a++] : second[next_b++];
+    for (std::size_t d = 0; d < 8; ++d) {
+      ASSERT_EQ(snapshot.label(id + d), batch.labels[d]) << "id " << id + d;
+    }
+  }
+  EXPECT_EQ(next_a, first.size());
+  EXPECT_EQ(next_b, second.size());
 }
 
 }  // namespace
